@@ -51,6 +51,38 @@ let bracket_cost (module T : Smr.Tracker.S) =
       T.enter t ~tid:0;
       T.leave t ~tid:0)
 
+(* One ds-churn operation in its own bracket, at the end-to-end
+   benchmark's shape: Registry hashmap, paper config, 50k keys
+   prefilled over 100k, 50% insert / 50% delete on uniform keys, one
+   domain.  Read next to table1/bracket-cost/<scheme>, the pair splits
+   a map operation into its bracket and its list work. *)
+let hashmap_op_cost scheme_name =
+  let module M =
+    (val Workload.Registry.(
+           make_map (find_structure "hashmap") (find_scheme scheme_name)))
+  in
+  let keys = 100_000 in
+  let m = M.create ~cfg:cfg_bench () in
+  let rng = Prims.Rng.create ~seed:1 in
+  let filled = ref 0 in
+  while !filled < keys / 2 do
+    let k = Prims.Rng.below rng keys in
+    M.enter m ~tid:0;
+    if M.insert m ~tid:0 k k then incr filled;
+    M.leave m ~tid:0
+  done;
+  fun () ->
+    let r = Prims.Rng.next rng in
+    let k = (r lsr 1) mod keys in
+    M.enter m ~tid:0;
+    ignore (if r land 1 = 1 then M.insert m ~tid:0 k k else M.remove m ~tid:0 k);
+    M.leave m ~tid:0
+
+let hashmap_op_rows () =
+  List.map
+    (fun s -> ("dstruct/hashmap-op/" ^ s, hashmap_op_cost s))
+    [ "Leaky"; "Hyaline-S" ]
+
 (* One protected dereference inside a long-lived bracket. *)
 let read_cost (module T : Smr.Tracker.S) =
   let t = T.create cfg_bench in
@@ -782,6 +814,7 @@ let shmalloc_rows () =
 let microbenches () =
   scheme_rows "retire-cost" retire_cost
   @ scheme_rows "bracket-cost" bracket_cost
+  @ hashmap_op_rows ()
   @ scheme_rows "read-cost" read_cost
   @ [
       ("table1/read-cost/LFRC", lfrc_read_cost);

@@ -182,7 +182,7 @@ module Make (W : WORD) : Tracker_ext.S = struct
     drop_detached t ~tid old
 
   let alloc_hook t ~tid hdr =
-    Stats.on_alloc t.stats;
+    Stats.on_alloc t.stats ~tid;
     let c = t.alloc_count.(tid) + 1 in
     t.alloc_count.(tid) <- c;
     if c mod t.cfg.epoch_freq = 0 then begin

@@ -61,7 +61,7 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
     t.handles.(tid) <- handle;
     Internal.drain t.stats ~tid reap
 
-  let alloc_hook t ~tid:_ (_ : Hdr.t) = Stats.on_alloc t.stats
+  let alloc_hook t ~tid (_ : Hdr.t) = Stats.on_alloc t.stats ~tid
 
   (* Basic Hyaline needs no deref protocol (Fig. 1a: "No deref in
      basic Hyaline") — an unprotected atomic load suffices. *)

@@ -174,7 +174,7 @@ module Make
     Internal.drain t.stats ~tid reap
 
   let alloc_hook t ~tid hdr =
-    Stats.on_alloc t.stats;
+    Stats.on_alloc t.stats ~tid;
     if E.eras then begin
       let c = t.alloc_count.(tid) + 1 in
       t.alloc_count.(tid) <- c;

@@ -109,7 +109,7 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
   (* Fig. 5 init_node: advance the era clock every Freq allocations
      and stamp the block's birth. *)
   let alloc_hook t ~tid hdr =
-    Stats.on_alloc t.stats;
+    Stats.on_alloc t.stats ~tid;
     let c = t.alloc_count.(tid) + 1 in
     t.alloc_count.(tid) <- c;
     if c mod t.cfg.epoch_freq = 0 then ignore (Atomic.fetch_and_add t.era 1);
@@ -185,10 +185,16 @@ module Make (H : Head.OPS) : Tracker_ext.S = struct
         pend_total := !pend_total + s;
         if s > !pend_max then pend_max := s)
       t.builders;
+    let k = Atomic.get t.k in
+    let ack_max = ref 0 in
+    for slot = 0 to k - 1 do
+      ack_max := max !ack_max (Atomic.get (Directory.get t.acks slot))
+    done;
     [
-      ("slots", Atomic.get t.k);
+      ("slots", k);
       ("batch_pending_total", !pend_total);
       ("batch_pending_max", !pend_max);
+      ("ack_max", !ack_max);
     ]
 end
 

@@ -20,6 +20,10 @@
     the cap, robustness holds until stalled threads outnumber slots
     (both behaviours appear in Figure 10a).
 
+    Besides the common gauges, [gauges] reports [ack_max], the largest
+    Ack over the current slots: it reaches [Config.ack_threshold]
+    exactly when some slot reads as stalled.
+
     [Config] fields used: [slots] (Kmin), [batch_min], [epoch_freq],
     [ack_threshold], [adaptive], [check_uaf]. *)
 

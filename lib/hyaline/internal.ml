@@ -47,6 +47,20 @@ let rec traverse_go reap handle curr count =
 
 let traverse reap ~next ~handle = traverse_go reap handle next 0
 
+(* The number of nodes inserted into a slot since the bracket took
+   [handle]: the list from its current first node [curr] down to,
+   excluding, [handle].  [traverse] walks [next] (= [curr.next])
+   through [handle] inclusive — the same count while [handle] is a
+   node — but when [handle] is nil (the bracket entered an empty slot)
+   the walk ends at the list's end without counting, so the head
+   [curr] itself must be added.  Hyaline-S's Ack counters rely on this
+   being exact: every insert adds the slot's HRef to Ack and every
+   leaver subtracts this count, and a count one short per batch leaves
+   Ack climbing until the slot reads as stalled. *)
+let traverse_since reap ~next ~handle =
+  let n = traverse reap ~next ~handle in
+  if Hdr.is_nil handle then n + 1 else n
+
 module Make (H : Head.OPS) = struct
   let insert_batch heads ~k refnode ~skip ~after_insert reap =
     let empty = ref 0 in
@@ -136,7 +150,7 @@ module Make (H : Head.OPS) = struct
     let next = if curr != handle then curr.Hdr.next else Hdr.nil in
     if H.cas_ref head ~expected:snap (H.href snap - 1) then begin
       if H.href snap = 1 && not (Hdr.is_nil curr) then detach head curr reap;
-      if curr != handle then traverse reap ~next ~handle else 0
+      if curr != handle then traverse_since reap ~next ~handle else 0
     end
     else -1
 
@@ -154,7 +168,8 @@ module Make (H : Head.OPS) = struct
     let snap = H.read head in
     let curr = H.hptr snap in
     let count =
-      if curr != handle then traverse reap ~next:curr.Hdr.next ~handle else 0
+      if curr != handle then traverse_since reap ~next:curr.Hdr.next ~handle
+      else 0
     in
     (curr, count)
 end

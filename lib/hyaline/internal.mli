@@ -22,7 +22,7 @@ val add_ref : reap -> Smr.Hdr.t -> int -> unit
 val traverse : reap -> next:Smr.Hdr.t -> handle:Smr.Hdr.t -> int
 (** Fig. 3 [traverse]: walk a retirement sublist from [next] down to
     and {e including} [handle], dereferencing (-1) each node's batch.
-    Returns the number of nodes visited (Hyaline-S's Ack counter). *)
+    Returns the number of nodes visited. *)
 
 val drain : Smr.Stats.t -> tid:int -> reap -> unit
 (** Free every queued batch (each node's [free_hook] runs exactly
@@ -52,10 +52,14 @@ module Make (H : Head.OPS) : sig
       that validation); if this was the last thread, detach the list
       with a strong pointer-CAS and credit the former first node with
       its [Adjs]; finally traverse the sublist down to [handle].
-      Returns the traversal count. *)
+      Returns the number of nodes inserted into the slot since
+      [handle] was taken, the amount Hyaline-S subtracts from the
+      slot's Ack counter — that includes the detached first node when
+      [handle] is nil (the bracket entered an empty slot). *)
 
   val trim_slot : H.t -> handle:Smr.Hdr.t -> reap -> Smr.Hdr.t * int
   (** Fig. 3 [trim]: dereference the current sublist without altering
       Head; returns the new handle (the current first node) and the
-      traversal count. *)
+      number of nodes inserted since [handle], counted as in
+      {!leave_slot}. *)
 end

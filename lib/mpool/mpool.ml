@@ -22,22 +22,30 @@ let chunk_bits = 12
 let chunk_size = 1 lsl chunk_bits
 let max_chunks = 1 lsl 16
 
+(* The alloc/free counters are striped by domain (see
+   [Prims.Xatomic.striped]), so domains allocating and freeing on every
+   operation never write a shared line.  A domain's stripe is its
+   domain id, kept in its free cache record (fetched on both paths
+   anyway). *)
+module X = Prims.Xatomic
+
 module Make (P : POOLABLE) = struct
   (* Per-domain free cache.  [count] is maintained incrementally so
      [free] never walks the list (spilling used to be O(cache) per
      free). *)
-  type cache = { mutable count : int; mutable nodes : P.t list }
+  type cache = { mutable count : int; mutable nodes : P.t list; stripe : int }
 
   type t = {
     next_index : int Atomic.t;
     chunks : P.t option Atomic.t array option Atomic.t array;
-    shared_free : P.t list Atomic.t;
+    shared_free : (int * P.t list) list Atomic.t;
+        (* a stack of spilled chunks, each with its length *)
     shared_len : int Atomic.t;
     local_cache : int;
     cache_key : cache Domain.DLS.key;
     created : int Atomic.t;
-    allocs : int Atomic.t;
-    frees : int Atomic.t;
+    allocs : X.striped;
+    frees : X.striped;
     (* Fault-injection budget: while positive, each [alloc] consumes
        one unit and raises [Injected_oom] instead of handing out a
        node.  Disabled (0) costs one relaxed load on the alloc path —
@@ -53,10 +61,12 @@ module Make (P : POOLABLE) = struct
       shared_free = Atomic.make [];
       shared_len = Atomic.make 0;
       local_cache;
-      cache_key = Domain.DLS.new_key (fun () -> { count = 0; nodes = [] });
+      cache_key =
+        Domain.DLS.new_key (fun () ->
+            { count = 0; nodes = []; stripe = (Domain.self () :> int) });
       created = Atomic.make 0;
-      allocs = Atomic.make 0;
-      frees = Atomic.make 0;
+      allocs = X.make_striped ();
+      frees = X.make_striped ();
       oom_budget = Atomic.make 0;
     }
 
@@ -74,75 +84,39 @@ module Make (P : POOLABLE) = struct
     else if Atomic.compare_and_set t.oom_budget n (n - 1) then true
     else take_oom t
 
-  let rec push_shared t node =
+  (* The shared free list is a Treiber stack of whole chunks: a spill
+     pushes a full per-domain cache as one chunk and a cache miss pops
+     one chunk, each a single CAS doing O(1) work however long the
+     stack is.  A flat list would force a miss to take the whole list
+     and splice the surplus back, O(shared length), while other
+     domains see an empty list and create fresh nodes that lengthen it
+     further — under sustained churn that feeds on itself.  Popped
+     cells are never pushed again (every push conses a fresh cell), so
+     the CASes are ABA-free. *)
+  let rec push_chunk t n nodes =
     let old = Atomic.get t.shared_free in
-    if Atomic.compare_and_set t.shared_free old (node :: old) then
-      Atomic.incr t.shared_len
-    else push_shared t node
+    if Atomic.compare_and_set t.shared_free old ((n, nodes) :: old) then
+      ignore (Atomic.fetch_and_add t.shared_len n)
+    else push_chunk t n nodes
 
-  (* Spill a whole cache with a single successful CAS: splice the
-     spilled list in front of the shared list.  The splice is rebuilt
-     on a CAS failure, but each retry is O(spill) with spill bounded by
-     [local_cache] — versus the old one-CAS-per-node loop. *)
-  let rec splice_shared t spilled n =
-    let old = Atomic.get t.shared_free in
-    if Atomic.compare_and_set t.shared_free old (List.rev_append spilled old)
-    then ignore (Atomic.fetch_and_add t.shared_len n)
-    else splice_shared t spilled n
-
-  let rec pop_shared t =
+  let rec pop_chunk t =
     match Atomic.get t.shared_free with
     | [] -> None
-    | node :: rest as old ->
+    | ((n, _) as chunk) :: rest as old ->
         if Atomic.compare_and_set t.shared_free old rest then begin
-          Atomic.decr t.shared_len;
-          Some node
+          ignore (Atomic.fetch_and_add t.shared_len (-n));
+          Some chunk
         end
-        else pop_shared t
+        else pop_chunk t
 
-  (* Cache-miss path: grab the whole shared list in one [exchange] —
-     no CAS loop, so a refill cannot livelock against concurrent
-     pushers — keep up to [local_cache] nodes for this domain's cache,
-     and splice the surplus back.  A miss used to pay one CAS per
-     node popped; now a burst of misses on one domain pays one RMW
-     per [local_cache] allocations.  The cheap empty-check load comes
-     first so idle domains don't bounce the line with useless RMWs.
-     Deliberate transient: between the exchange and the splice-back,
-     other domains see an empty list and fall through to [fresh], and
-     [shared_len] overcounts until the deferred adjustment lands —
-     both are benign (extra created nodes / a gauge upper bound; see
-     the .mli) and the price of the livelock-free exchange. *)
+  (* Cache-miss path: one popped chunk refills this domain's cache. *)
   let refill t cache =
-    if Atomic.get t.shared_free == [] then None
-    else
-      match Atomic.exchange t.shared_free [] with
-      | [] -> None
-      | node :: rest ->
-          let rec keep acc n = function
-            | x :: xs when n < t.local_cache -> keep (x :: acc) (n + 1) xs
-            | surplus -> (acc, n, surplus)
-          in
-          let kept, n_kept, surplus = keep [] 0 rest in
-          cache.nodes <- kept;
-          cache.count <- n_kept;
-          (match surplus with
-          | [] -> ignore (Atomic.fetch_and_add t.shared_len (-(1 + n_kept)))
-          | _ ->
-              (* The exchange removed the whole list but [shared_len]
-                 still counts it, so after splicing the surplus back
-                 only what this domain took needs deducting.  The list
-                 is a free list: order is irrelevant, [rev_append] is
-                 fine. *)
-              let rec put back =
-                let old = Atomic.get t.shared_free in
-                if
-                  Atomic.compare_and_set t.shared_free old
-                    (List.rev_append back old)
-                then ignore (Atomic.fetch_and_add t.shared_len (-(1 + n_kept)))
-                else put back
-              in
-              put surplus);
-          Some node
+    match pop_chunk t with
+    | Some (n, node :: rest) ->
+        cache.nodes <- rest;
+        cache.count <- n - 1;
+        Some node
+    | Some (_, []) | None -> None
 
   (* Install [node] into its registry cell.  Cells are [None] until
      their node is published, so a concurrent [lookup] can never
@@ -173,35 +147,31 @@ module Make (P : POOLABLE) = struct
 
   let alloc t =
     if Atomic.get t.oom_budget > 0 && take_oom t then raise Injected_oom;
-    Atomic.incr t.allocs;
+    let cache = Domain.DLS.get t.cache_key in
+    X.striped_incr t.allocs cache.stripe;
     let node =
-      if t.local_cache = 0 then
-        match pop_shared t with Some n -> n | None -> fresh t
-      else
-        let cache = Domain.DLS.get t.cache_key in
-        match cache.nodes with
-        | n :: rest ->
-            cache.nodes <- rest;
-            cache.count <- cache.count - 1;
-            n
-        | [] -> ( match refill t cache with Some n -> n | None -> fresh t)
+      match cache.nodes with
+      | n :: rest ->
+          cache.nodes <- rest;
+          cache.count <- cache.count - 1;
+          n
+      | [] -> ( match refill t cache with Some n -> n | None -> fresh t)
     in
     P.on_alloc node;
     node
 
+  (* With [local_cache = 0] every free spills a one-node chunk at once
+     and every alloc refills from one, so the cache stays empty. *)
   let free t node =
     P.on_free node;
-    Atomic.incr t.frees;
-    if t.local_cache = 0 then push_shared t node
-    else begin
-      let cache = Domain.DLS.get t.cache_key in
-      cache.nodes <- node :: cache.nodes;
-      cache.count <- cache.count + 1;
-      if cache.count > t.local_cache then begin
-        splice_shared t cache.nodes cache.count;
-        cache.nodes <- [];
-        cache.count <- 0
-      end
+    let cache = Domain.DLS.get t.cache_key in
+    X.striped_incr t.frees cache.stripe;
+    cache.nodes <- node :: cache.nodes;
+    cache.count <- cache.count + 1;
+    if cache.count > t.local_cache then begin
+      push_chunk t cache.count cache.nodes;
+      cache.nodes <- [];
+      cache.count <- 0
     end
 
   (* [fresh] reserves the index (the fetch-and-add on [next_index])
@@ -232,19 +202,17 @@ module Make (P : POOLABLE) = struct
     in
     node ()
 
+  (* Sum every [frees] stripe before any [allocs] stripe: frees never
+     outpace allocs and the stripes are monotonic, so this order keeps
+     [allocs >= frees] under concurrent updates. *)
   let stats t =
-    {
-      created = Atomic.get t.created;
-      allocs = Atomic.get t.allocs;
-      frees = Atomic.get t.frees;
-    }
+    let frees = X.striped_sum t.frees in
+    let allocs = X.striped_sum t.allocs in
+    { created = Atomic.get t.created; allocs; frees }
 
-  (* Read [frees] first: frees never outpace allocs, so this order
-     keeps the difference non-negative under concurrent updates. *)
   let live t =
-    let f = Atomic.get t.frees in
-    let a = Atomic.get t.allocs in
-    max 0 (a - f)
+    let ({ allocs; frees; _ } : stats) = stats t in
+    max 0 (allocs - frees)
 
   (* Clamped: a pop's decrement can land before the matching push's
      increment, leaving the counter transiently negative. *)

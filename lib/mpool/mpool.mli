@@ -69,16 +69,12 @@ module Make (P : POOLABLE) : sig
 
   val alloc : t -> P.t
   (** [alloc t] returns a node, recycling a freed one when available.
-      Runs [P.on_alloc] before returning.  On a local-cache miss the
-      whole shared free list is taken in one atomic exchange and up to
-      [local_cache] nodes are kept locally (surplus is spliced back),
-      so a burst of misses pays one shared-list RMW per [local_cache]
-      allocations rather than one per node.  Between the exchange and
-      the splice-back, other domains observe an empty shared list and
-      may construct fresh nodes despite free ones existing — a
-      deliberate trade of occasional extra [created] nodes for a
-      refill that cannot livelock against concurrent pushers (node
-      reuse is a performance property here, never a correctness one).
+      Runs [P.on_alloc] before returning.  The shared free list is a
+      stack of whole chunks (one per spilled cache): a local-cache miss
+      pops one chunk with a single CAS and keeps it as this domain's
+      cache, so a burst of misses pays one shared-list RMW per
+      [local_cache] allocations, and the work per miss does not grow
+      with the shared list.
       @raise Injected_oom while a fault-injection budget is armed (the
       failed call consumes one budget unit and does not count as an
       alloc, so [live] stays exact). *)
@@ -108,20 +104,22 @@ module Make (P : POOLABLE) : sig
       out by this pool. *)
 
   val stats : t -> stats
-  (** Racy-but-consistent-enough snapshot of the counters. *)
+  (** Racy snapshot of the counters.  [allocs] and [frees] are striped
+      by domain over cache-line-padded atomics (so allocating domains
+      never write a shared line) and summed here, every [frees] stripe
+      before any [allocs] stripe: [allocs >= frees] always holds. *)
 
   val live : t -> int
   (** [live t] is [allocs - frees] at the moment of the call, clamped
-      at 0 (the counters are read free-side first so a racing
+      at 0 (the stripes are read free-side first so a racing
       alloc/free pair cannot drive the difference negative). *)
 
   val shared_free_length : t -> int
-  (** Current length of the shared free list (excludes per-domain
-      caches).  Maintained incrementally; racy but never negative.
-      While a refill's splice-back is in flight the gauge transiently
-      {e over}counts (the exchange empties the list before the length
-      is adjusted), so invariant checks — e.g. the chaos oracles —
-      should treat it as an upper bound, not an exact census. *)
+  (** Current number of nodes on the shared free list (excludes
+      per-domain caches).  Maintained incrementally: a push or pop
+      adjusts it just after its CAS lands, so concurrent updates can
+      leave it transiently off by a chunk either way (clamped at 0);
+      exact at quiescence. *)
 
   val gauges : t -> (string * int) list
   (** Occupancy gauges for the observability layer:

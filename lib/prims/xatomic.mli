@@ -20,3 +20,33 @@ val wrapping_add : int -> int -> int
 (** [wrapping_add a b] is [a + b] modulo [2{^63}] (OCaml native-int
     arithmetic already wraps; this alias documents intent at the call
     sites implementing Hyaline's unsigned-overflow adjustment trick). *)
+
+val make_padded : 'a -> 'a Atomic.t
+(** [make_padded v] is [Atomic.make v] on a block padded to a cache
+    line (and its prefetch partner), so two padded atomics allocated
+    back to back never share a line: the building block of striped
+    counters written from several domains.  Costs 16 words instead of
+    one. *)
+
+(** {2 Striped counters}
+
+    A counter spread over {!stripes} padded atomics, so writers on
+    different stripes never share a cache line.  Writers pick a stripe
+    by any int (a tid, a domain id); a read sums the stripes one load
+    at a time, so it is not a snapshot: callers that compare two
+    monotonic counters must finish summing the one that trails before
+    starting on the one that leads. *)
+
+type striped
+
+val stripes : int
+(** Stripes per counter (8). *)
+
+val make_striped : unit -> striped
+(** A zeroed counter. *)
+
+val striped_incr : striped -> int -> unit
+(** [striped_incr c i] adds one to stripe [i mod stripes]. *)
+
+val striped_sum : striped -> int
+(** Sum of all stripes. *)

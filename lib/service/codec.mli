@@ -223,7 +223,8 @@ val reply_of_arena_payload : string -> reply
     or bit-rotted bytes are detectable on replay. *)
 
 val crc32 : string -> pos:int -> len:int -> int
-(** IEEE-802.3 (zlib) CRC32 of the byte range, in [[0, 2^32)]. *)
+(** IEEE-802.3 (zlib) CRC32 of the byte range, in [[0, 2^32)].  Safe to
+    call from several domains at once (the table is built eagerly). *)
 
 val encode_wal_record : Buffer.t -> seq:int -> mutation -> unit
 (** One framed log record: [kind, seq, key(, value), CRC32]. *)

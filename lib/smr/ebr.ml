@@ -31,7 +31,7 @@ let trim t ~tid =
   enter t ~tid
 
 let alloc_hook t ~tid hdr =
-  Stats.on_alloc t.stats;
+  Stats.on_alloc t.stats ~tid;
   let c = t.alloc_count.(tid) + 1 in
   t.alloc_count.(tid) <- c;
   if c mod t.cfg.epoch_freq = 0 then Atomic.incr t.clock;

@@ -30,7 +30,7 @@ let trim t ~tid =
   leave t ~tid;
   enter t ~tid
 
-let alloc_hook t ~tid:_ (_ : Hdr.t) = Stats.on_alloc t.stats
+let alloc_hook t ~tid (_ : Hdr.t) = Stats.on_alloc t.stats ~tid
 
 (* Publish-and-validate: after announcing the target we re-read the
    link; if it still designates the same value, no scan that started

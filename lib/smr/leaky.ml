@@ -7,7 +7,7 @@ let create (_ : Config.t) = { stats = Stats.create () }
 let enter _ ~tid:_ = ()
 let leave _ ~tid:_ = ()
 let trim _ ~tid:_ = ()
-let alloc_hook t ~tid:_ (_ : Hdr.t) = Stats.on_alloc t.stats
+let alloc_hook t ~tid (_ : Hdr.t) = Stats.on_alloc t.stats ~tid
 let read _ ~tid:_ ~idx:_ a _proj = Atomic.get a
 let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 

@@ -1,48 +1,55 @@
+(* Each counter is striped by tid (see [Prims.Xatomic.striped]), so
+   the per-operation bumps of different threads never write a shared
+   line. *)
+module X = Prims.Xatomic
+
 type t = {
-  allocs : int Atomic.t;
-  retires : int Atomic.t;
-  frees : int Atomic.t;
+  allocs : X.striped;
+  retires : X.striped;
+  frees : X.striped;
   mutable probe : Obs.Probe.t;
 }
 
 let create () =
   {
-    allocs = Atomic.make 0;
-    retires = Atomic.make 0;
-    frees = Atomic.make 0;
+    allocs = X.make_striped ();
+    retires = X.make_striped ();
+    frees = X.make_striped ();
     probe = Obs.Probe.noop;
   }
 
-let on_alloc t = Atomic.incr t.allocs
-let on_retire t = Atomic.incr t.retires
-let on_free t = Atomic.incr t.frees
-let allocs t = Atomic.get t.allocs
-let retires t = Atomic.get t.retires
-let frees t = Atomic.get t.frees
+let on_alloc t ~tid = X.striped_incr t.allocs tid
+let on_retire t ~tid = X.striped_incr t.retires tid
+let on_free t ~tid = X.striped_incr t.frees tid
+let allocs t = X.striped_sum t.allocs
+let retires t = X.striped_sum t.retires
+let frees t = X.striped_sum t.frees
 
-(* A block is freed only after it was retired, and both counters are
-   monotonic, so reading [frees] FIRST guarantees the [retires] read
-   that follows is at least as recent: the difference cannot go
-   negative however many retire+free pairs land in between.  (Reading
-   in the opposite order — the old code — let a sampler racing a
-   retire+free pair observe frees > retires and report a negative
-   backlog, which skewed the Fig. 9/10 minima.)  The clamp guards the
-   remaining case of a caller mixing reads from different moments. *)
+(* A block is freed only after it was retired, and every stripe is
+   monotonic, so summing ALL the [frees] stripes before reading ANY
+   [retires] stripe guarantees the retires total is at least as recent
+   as the frees total: the difference cannot go negative however many
+   retire+free pairs land in between, whichever stripes they hit.
+   (Reading in the opposite order let a sampler racing a retire+free
+   pair observe frees > retires and report a negative backlog, which
+   skewed the Fig. 9/10 minima.)  The clamp guards the remaining case
+   of a caller mixing reads from different moments. *)
 let unreclaimed t =
-  let f = Atomic.get t.frees in
-  let r = Atomic.get t.retires in
+  let f = frees t in
+  let r = retires t in
   max 0 (r - f)
 
 type snapshot = { allocs : int; retires : int; frees : int }
 
-(* Same ordering discipline: frees, then retires (which covers frees),
-   then allocs (which covers retires, since a block is retired only
-   after it was allocated).  The resulting snapshot is internally
-   consistent: allocs >= retires >= frees always holds. *)
+(* Same ordering discipline: every frees stripe, then every retires
+   stripe (which covers frees), then every allocs stripe (which covers
+   retires, since a block is retired only after it was allocated).
+   The resulting snapshot is internally consistent: allocs >= retires
+   >= frees always holds. *)
 let snapshot (t : t) =
-  let frees = Atomic.get t.frees in
-  let retires = max frees (Atomic.get t.retires) in
-  let allocs = max retires (Atomic.get t.allocs) in
+  let frees = frees t in
+  let retires = max frees (retires t) in
+  let allocs = max retires (allocs t) in
   { allocs; retires; frees }
 
 let unreclaimed_of { retires; frees; _ } = max 0 (retires - frees)

@@ -5,21 +5,31 @@
     the run; trackers bump these counters on each transition and the
     workload harness samples [unreclaimed].
 
-    Read-side consistency: the counters are independent atomics, but
-    every read path here orders its loads [frees] before [retires]
-    before [allocs].  Since a block is allocated before it is retired
-    and retired before it is freed, that order makes the invariant
+    Each counter is striped by [tid] over cache-line-padded atomics
+    ({!Prims.Xatomic.make_padded}), so threads bumping counters on
+    every operation never write a shared cache line; a read sums the
+    stripes.  A block may be retired by one tid and freed by another,
+    so only the totals are meaningful.
+
+    Read-side consistency: every read path here sums {e all} the
+    [frees] stripes before loading {e any} [retires] stripe, and all
+    the [retires] stripes before any [allocs] stripe.  Since a block
+    is allocated before it is retired and retired before it is freed,
+    and every stripe is monotonic, that order makes the invariant
     [allocs >= retires >= frees] hold for every value this interface
-    returns — a sampler racing a retire+free pair can no longer
-    observe a negative backlog. *)
+    returns — a sampler racing a retire+free pair can never observe a
+    negative backlog. *)
 
 type t
 
 val create : unit -> t
 
-val on_alloc : t -> unit
-val on_retire : t -> unit
-val on_free : t -> unit
+val on_alloc : t -> tid:int -> unit
+val on_retire : t -> tid:int -> unit
+val on_free : t -> tid:int -> unit
+(** Count one transition on [tid]'s stripe.  Any int is accepted as a
+    tid (it is reduced modulo the stripe count); tids sharing a stripe
+    stay exact, they only contend. *)
 
 val allocs : t -> int
 val retires : t -> int

@@ -22,7 +22,7 @@ type packed = (module S)
 let free_block stats ~tid hdr =
   Hdr.set_freed hdr;
   hdr.Hdr.free_hook ();
-  Stats.on_free stats;
+  Stats.on_free stats ~tid;
   let p = Stats.probe stats in
   if not (Obs.Probe.is_noop p) then
     let lag_ns =
@@ -33,7 +33,7 @@ let free_block stats ~tid hdr =
 
 let retire_block stats ~tid hdr =
   Hdr.set_retired hdr;
-  Stats.on_retire stats;
+  Stats.on_retire stats ~tid;
   let p = Stats.probe stats in
   if not (Obs.Probe.is_noop p) then begin
     hdr.Hdr.retire_ns <- Obs.Clock.now_ns ();

@@ -11,7 +11,7 @@ let create cfg =
 let enter _ ~tid:_ = ()
 let leave _ ~tid:_ = ()
 let trim _ ~tid:_ = ()
-let alloc_hook t ~tid:_ (_ : Hdr.t) = Stats.on_alloc t.stats
+let alloc_hook t ~tid (_ : Hdr.t) = Stats.on_alloc t.stats ~tid
 
 let read t ~tid:_ ~idx:_ a proj =
   let v = Atomic.get a in

@@ -153,6 +153,43 @@ let stress_test (module M : Dstruct.Map_intf.S) ~leaky ~ops () =
   in
   Alcotest.(check bool) "keys strictly sorted" true (sorted keys)
 
+(* --- recycle-heavy ABA stress ----------------------------------------- *)
+
+(* The Harris-Michael core CASes on node identities, and nodes are
+   recycled through a pool, so its ABA-freedom rests entirely on the
+   SMR scheme keeping every node an operation names unfreed.  Sixteen
+   keys under four domains recycle each node many times over while
+   other domains still hold it as a predecessor or CAS witness; a
+   reclamation hole shows as a use-after-free, a lost or duplicated
+   node (size mismatch), or a binding grafted onto the wrong key. *)
+let aba_stress_test (module M : Dstruct.Map_intf.S) () =
+  let m = M.create ~cfg:cfg_base () in
+  let keys = 16 and ops = 10_000 in
+  let worker tid () =
+    let rng = Prims.Rng.create ~seed:(77 + tid) in
+    let net = ref 0 in
+    for _ = 1 to ops do
+      let k = Prims.Rng.below rng keys in
+      M.enter m ~tid;
+      (match Prims.Rng.below rng 3 with
+      | 0 -> if M.insert m ~tid k k then incr net
+      | 1 -> if M.remove m ~tid k then decr net
+      | _ -> (
+          match M.get m ~tid k with
+          | Some v when v <> k -> failwith (Printf.sprintf "get %d -> %d" k v)
+          | _ -> ()));
+      M.leave m ~tid
+    done;
+    !net
+  in
+  let ds = List.init cfg_base.nthreads (fun tid -> Domain.spawn (worker tid)) in
+  let net = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
+  M.check m;
+  let bindings = M.to_sorted_list m in
+  List.iter (fun (k, v) -> Alcotest.(check int) "binding k -> k" k v) bindings;
+  Alcotest.(check int) "size = net successful inserts" net (List.length bindings);
+  Alcotest.(check int) "size agrees" net (M.size m)
+
 (* --- trim-chained operation mode (Figure 10b's access pattern) ------- *)
 
 let trim_mode_test (module M : Dstruct.Map_intf.S) () =
@@ -239,3 +276,33 @@ let suites =
       in
       [ ("dstruct." ^ sname, cases) ])
     structures
+
+let aba_suite =
+  let schemes : (string * (module Tracker.S)) list =
+    [
+      ("hp", (module Hp));
+      ("he", (module He));
+      ("ibr", (module Ibr));
+      ("hyaline-s", (module Hyaline_core.Hyaline_s));
+      ("crystalline", (module Hyaline_core.Crystalline));
+    ]
+  in
+  let structures : (string * maker) list =
+    [
+      ("list", (module Dstruct.Harris_list.Make));
+      ("hashmap", (module Dstruct.Hash_map.Make));
+    ]
+  in
+  ( "dstruct.aba",
+    List.concat_map
+      (fun (sname, (module Mk : Dstruct.Map_intf.MAKER)) ->
+        List.map
+          (fun (tname, (module T : Tracker.S)) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s/%s: recycle-heavy stress" sname tname)
+              `Slow
+              (aba_stress_test (module Mk (T))))
+          schemes)
+      structures )
+
+let suites = suites @ [ aba_suite ]

@@ -1037,9 +1037,104 @@ let test_s_ack_drift_bounded_when_healthy () =
   Alcotest.(check int) "books balance" s.Stats.retires s.Stats.frees;
   Alcotest.(check int) "slots never grew" 2 (Hyaline_s.slots t)
 
+(* Ack bookkeeping is exact: every insert adds the slot's HRef to its
+   Ack and every leaver subtracts the nodes inserted since it entered —
+   including the detached head when it entered an empty slot.  A lone
+   tid retiring into its own (otherwise empty) slot must therefore
+   bring the Ack back to 0 at every leave; a count one short per batch
+   would exile it from its own slot after [ack_threshold] batches. *)
+
+let ack_cfg =
+  { Config.default with slots = 8; batch_min = 8; ack_threshold = 64; check_uaf = true }
+
+let test_s_lone_tid_ack_zero (module T : Tracker_ext.S) () =
+  let t = T.create { ack_cfg with nthreads = 1 } in
+  let ack_max t = List.assoc "ack_max" (T.gauges t) in
+  let pool = Pool.create ~local_cache:0 () in
+  let link = Atomic.make None in
+  for i = 1 to 1_000 do
+    T.enter t ~tid:0;
+    ignore
+      (T.read t ~tid:0 ~idx:0 link (function
+        | Some (b : Blk.t) -> b.Blk.hdr
+        | None -> Hdr.nil));
+    let b = Pool.alloc pool in
+    b.Blk.hdr.Hdr.free_hook <- (fun () -> Pool.free pool b);
+    T.alloc_hook t ~tid:0 b.Blk.hdr;
+    (match Atomic.exchange link (Some b) with
+    | Some old -> T.retire t ~tid:0 old.Blk.hdr
+    | None -> ());
+    T.leave t ~tid:0;
+    let a = ack_max t in
+    if a <> 0 then Alcotest.failf "cycle %d: Ack %d after a lone leave" i a
+  done
+
+(* The failure that exact Acks prevent: a reader stalled in slot 2 with
+   an old access era (so batches skip its slot), and two workers
+   churning in slots 0 and 1 for far more than [ack_threshold]
+   batches.  A worker leaves its home slot only when that slot's Ack
+   reaches the threshold, so an [ack_max] that never gets there proves
+   neither worker ever moved — in particular neither joined the
+   reader's slot, whose access era they would advance, pinning every
+   later batch behind the stalled reader. *)
+let test_s_stalled_reader_slot_kept (module T : Tracker_ext.S) () =
+  let t = T.create { ack_cfg with nthreads = 3 } in
+  let ack_max t = List.assoc "ack_max" (T.gauges t) in
+  let pool = Pool.create ~local_cache:0 () in
+  let alloc ~tid =
+    let b = Pool.alloc pool in
+    b.Blk.hdr.Hdr.free_hook <- (fun () -> Pool.free pool b);
+    T.alloc_hook t ~tid b.Blk.hdr;
+    b
+  in
+  let link = Atomic.make (alloc ~tid:0) in
+  T.enter t ~tid:2;
+  ignore (T.read t ~tid:2 ~idx:0 link proj);
+  let seen = ref 0 and worst = ref 0 in
+  let cycles = 2_000 in
+  for _ = 1 to cycles do
+    for tid = 0 to 1 do
+      T.enter t ~tid;
+      ignore (T.read t ~tid ~idx:0 link proj);
+      let old = Atomic.exchange link (alloc ~tid) in
+      T.retire t ~tid old.Blk.hdr;
+      T.leave t ~tid;
+      seen := max !seen (ack_max t);
+      worst := max !worst (Stats.unreclaimed (T.stats t))
+    done
+  done;
+  let batches = 2 * cycles / (ack_cfg.slots + 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "ran past ack_threshold batches per worker (%d)" batches)
+    true
+    (batches / 2 > ack_cfg.ack_threshold);
+  Alcotest.(check bool)
+    (Printf.sprintf "no slot ever read as stalled (ack_max %d)" !seen)
+    true
+    (!seen < ack_cfg.ack_threshold);
+  Alcotest.(check bool)
+    (Printf.sprintf "unreclaimed stays bounded (max %d)" !worst)
+    true (!worst < 200);
+  T.leave t ~tid:2;
+  for tid = 0 to 2 do
+    T.flush t ~tid;
+    T.flush t ~tid
+  done;
+  let s = Stats.snapshot (T.stats t) in
+  Alcotest.(check int) "drained after release" s.Stats.retires s.Stats.frees
+
 let hyaline_s_internals =
   ( "hyaline-s.internals",
     [
+      Alcotest.test_case "lone tid keeps Ack at 0" `Quick
+        (test_s_lone_tid_ack_zero (module Hyaline_s));
+      Alcotest.test_case "lone tid keeps Ack at 0 (packed)" `Quick
+        (test_s_lone_tid_ack_zero (module Hyaline_s.Packed));
+      Alcotest.test_case "stalled reader keeps its slot to itself" `Quick
+        (test_s_stalled_reader_slot_kept (module Hyaline_s));
+      Alcotest.test_case "stalled reader keeps its slot to itself (packed)"
+        `Quick
+        (test_s_stalled_reader_slot_kept (module Hyaline_s.Packed));
       Alcotest.test_case "stale-era slots are skipped" `Quick
         test_s_stale_era_batch_frees_immediately;
       Alcotest.test_case "fresh-era slots pin batches" `Quick

@@ -176,6 +176,7 @@ let live_check name (module M : Dstruct.Map_intf.S) () =
 module Hashmap_hyaline = Dstruct.Hash_map.Make (Hyaline_core.Hyaline)
 module Hashmap_hyaline_packed = Dstruct.Hash_map.Make (Hyaline_core.Hyaline.Packed)
 module Hashmap_hp = Dstruct.Hash_map.Make (Smr.Hp)
+module Hashmap_hyaline_s = Dstruct.Hash_map.Make (Hyaline_core.Hyaline_s)
 module List_hyaline_s = Dstruct.Harris_list.Make (Hyaline_core.Hyaline_s)
 module List_ebr = Dstruct.Harris_list.Make (Smr.Ebr)
 module Bonsai_hyaline = Dstruct.Bonsai.Make (Hyaline_core.Hyaline)
@@ -215,6 +216,8 @@ let suites =
           (live_check "hashmap/Hyaline(packed)" (module Hashmap_hyaline_packed));
         Alcotest.test_case "hashmap/HP" `Slow
           (live_check "hashmap/HP" (module Hashmap_hp));
+        Alcotest.test_case "hashmap/Hyaline-S" `Slow
+          (live_check "hashmap/Hyaline-S" (module Hashmap_hyaline_s));
         Alcotest.test_case "list/Hyaline-S" `Slow
           (live_check "list/Hyaline-S" (module List_hyaline_s));
         Alcotest.test_case "list/Epoch" `Slow

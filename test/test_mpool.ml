@@ -122,9 +122,10 @@ let test_concurrent_churn () =
   Alcotest.(check bool) "created <= allocs" true (s.created <= s.allocs)
 
 let test_splice_accounting () =
-  (* Spilling is a whole-cache splice: with local_cache = 4 the fifth
-     free pushes all five cached nodes to the shared list in one CAS,
-     and the shared-length gauge tracks it exactly at quiescence. *)
+  (* Spilling pushes the whole cache as one chunk: with local_cache = 4
+     the fifth free pushes all five cached nodes to the shared list in
+     one CAS, and the shared-length gauge tracks it exactly at
+     quiescence. *)
   let p = Pool.create ~local_cache:4 () in
   let nodes = List.init 10 (fun _ -> Pool.alloc p) in
   Alcotest.(check int) "nothing shared yet" 0 (Pool.shared_free_length p);
@@ -136,10 +137,10 @@ let test_splice_accounting () =
   ignore again
 
 let test_exchange_refill () =
-  (* The cache-miss path refills by exchanging the whole shared list:
-     one domain manufactures 20 nodes and spills them all, then a
-     second domain's single allocation must grab [1 + local_cache]
-     nodes in one go (no fresh creation) and splice the surplus back.
+  (* The cache-miss path refills by popping one spilled chunk: one
+     domain manufactures 20 nodes and spills them all, then a second
+     domain's single allocation must grab [1 + local_cache] nodes in
+     one go (no fresh creation) and leave the other chunks in place.
      Domains run sequentially so the accounting is exact. *)
   let p = Pool.create ~local_cache:4 () in
   Domain.join
@@ -170,7 +171,7 @@ let test_exchange_refill () =
 
 let test_refill_under_contention () =
   (* Two domains alternating miss-heavy allocation against a shared
-     pile: refills (exchange) race refills and splices (CAS); the
+     pile: refills (chunk pops) race refills and spills (pushes); the
      books must balance at quiescence and nothing may be lost or
      duplicated. *)
   let p = Pool.create ~local_cache:2 () in

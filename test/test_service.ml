@@ -774,6 +774,17 @@ let test_slo () =
     (Service.Slo.p999 slo >= 10_000_000);
   Alcotest.(check bool) "objective now violated" true (Service.Slo.violated slo)
 
+(* Shard consumers checksum their first WAL appends at the same time;
+   the CRC table must not be a shared [lazy] that a second forcing
+   domain sees as [CamlinternalLazy.Undefined]. *)
+let test_crc32_concurrent () =
+  let s = "123456789" in
+  let ds =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> Service.Codec.crc32 s ~pos:0 ~len:(String.length s)))
+  in
+  List.iter (fun d -> Alcotest.(check int) "crc32 check value" 0xCBF43926 (Domain.join d)) ds
+
 let suites =
   [
     ( "service.codec",
@@ -781,6 +792,8 @@ let suites =
         Alcotest.test_case "request round-trips" `Quick test_codec_requests;
         Alcotest.test_case "reply round-trips" `Quick test_codec_replies;
         Alcotest.test_case "malformed payloads" `Quick test_codec_malformed;
+        Alcotest.test_case "crc32 from 4 domains at once" `Quick
+          test_crc32_concurrent;
       ] );
     ( "service.mailbox",
       [ Alcotest.test_case "bounds and FIFO" `Quick test_mailbox_bounds ] );

@@ -213,6 +213,53 @@ let test_config_validate () =
   | () -> Alcotest.fail "zero threads accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Striped Stats: writers on several domains bump their tid's stripes
+   (freeing on a neighbour's stripe, as a block retired by one tid and
+   freed by another does; tids past the stripe count share stripes)
+   while a sampler reads the totals in the documented order.  The
+   order must keep allocs >= retires >= frees on every sample, and the
+   quiescent totals must be exact. *)
+
+let test_stats_striped () =
+  let s = Stats.create () in
+  let writers = 3 and n = 100_000 in
+  let stop = Atomic.make false in
+  let sampler =
+    Domain.spawn (fun () ->
+        let samples = ref 0 in
+        while not (Atomic.get stop) do
+          let f = Stats.frees s in
+          let r = Stats.retires s in
+          let a = Stats.allocs s in
+          if not (a >= r && r >= f) then
+            Alcotest.failf "torn read: allocs=%d retires=%d frees=%d" a r f;
+          let snap = Stats.snapshot s in
+          if Stats.unreclaimed_of snap < 0 || Stats.unreclaimed s < 0 then
+            Alcotest.fail "negative unreclaimed";
+          incr samples
+        done;
+        !samples)
+  in
+  let ws =
+    List.init writers (fun w ->
+        Domain.spawn (fun () ->
+            let tid = w * 5 and other = (w * 5) + 1 in
+            for _ = 1 to n do
+              Stats.on_alloc s ~tid;
+              Stats.on_retire s ~tid;
+              Stats.on_free s ~tid:other
+            done))
+  in
+  List.iter Domain.join ws;
+  Atomic.set stop true;
+  Alcotest.(check bool) "sampler ran" true (Domain.join sampler > 0);
+  let snap = Stats.snapshot s in
+  Alcotest.(check int) "allocs exact" (writers * n) snap.Stats.allocs;
+  Alcotest.(check int) "retires exact" (writers * n) snap.Stats.retires;
+  Alcotest.(check int) "frees exact" (writers * n) snap.Stats.frees;
+  Alcotest.(check int) "nothing unreclaimed" 0 (Stats.unreclaimed s)
+
+(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -234,6 +281,11 @@ let suites =
         Alcotest.test_case "uid registry releases freed headers" `Quick
           test_hdr_registry_releases_freed;
         Alcotest.test_case "config validation" `Quick test_config_validate;
+      ] );
+    ( "smr.stats",
+      [
+        Alcotest.test_case "striped counters: ordered reads, exact totals"
+          `Quick test_stats_striped;
       ] );
     scheme_suite "smr.leaky" (module Leaky)
       ~expect:{ reclaims = false; protects = true };
