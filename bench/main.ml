@@ -51,37 +51,82 @@ let bracket_cost (module T : Smr.Tracker.S) =
       T.enter t ~tid:0;
       T.leave t ~tid:0)
 
+let churn_keys = 100_000
+
+(* A ds-churn map, half full, and its operation on [tid]. *)
+let churn_map scheme_name =
+  let module M =
+    (val Workload.Registry.(
+           make_map (find_structure "hashmap") (find_scheme scheme_name)))
+  in
+  let m = M.create ~cfg:cfg_bench () in
+  let rng = Prims.Rng.create ~seed:1 in
+  let filled = ref 0 in
+  while !filled < churn_keys / 2 do
+    let k = Prims.Rng.below rng churn_keys in
+    M.enter m ~tid:0;
+    if M.insert m ~tid:0 k k then incr filled;
+    M.leave m ~tid:0
+  done;
+  fun ~tid rng ->
+    let r = Prims.Rng.next rng in
+    let k = (r lsr 1) mod churn_keys in
+    M.enter m ~tid;
+    ignore (if r land 1 = 1 then M.insert m ~tid k k else M.remove m ~tid k);
+    M.leave m ~tid
+
 (* One ds-churn operation in its own bracket, at the end-to-end
    benchmark's shape: Registry hashmap, paper config, 50k keys
    prefilled over 100k, 50% insert / 50% delete on uniform keys, one
    domain.  Read next to table1/bracket-cost/<scheme>, the pair splits
    a map operation into its bracket and its list work. *)
 let hashmap_op_cost scheme_name =
-  let module M =
-    (val Workload.Registry.(
-           make_map (find_structure "hashmap") (find_scheme scheme_name)))
-  in
-  let keys = 100_000 in
-  let m = M.create ~cfg:cfg_bench () in
-  let rng = Prims.Rng.create ~seed:1 in
-  let filled = ref 0 in
-  while !filled < keys / 2 do
-    let k = Prims.Rng.below rng keys in
-    M.enter m ~tid:0;
-    if M.insert m ~tid:0 k k then incr filled;
-    M.leave m ~tid:0
-  done;
-  fun () ->
-    let r = Prims.Rng.next rng in
-    let k = (r lsr 1) mod keys in
-    M.enter m ~tid:0;
-    ignore (if r land 1 = 1 then M.insert m ~tid:0 k k else M.remove m ~tid:0 k);
-    M.leave m ~tid:0
+  let op = churn_map scheme_name in
+  let rng = Prims.Rng.create ~seed:2 in
+  fun () -> op ~tid:0 rng
 
 let hashmap_op_rows () =
   List.map
     (fun s -> ("dstruct/hashmap-op/" ^ s, hashmap_op_cost s))
     [ "Leaky"; "Hyaline-S" ]
+
+(* The same operation on two domains at once, tids 0 and 1, which is
+   what the one-domain rows cannot see: two writers whose slot words,
+   per-thread records and batches share a cache line pay for it on
+   every operation.  Wall time per operation of the pair's aggregate
+   throughput, best of 5 fixed-size trials (a trial is 2 x 100k ops, so
+   no calibration); on a host with one core the two domains interleave
+   instead, and the row reads as the one-domain cost plus switches. *)
+let hashmap_op_2dom_row scheme_name =
+  let op = churn_map scheme_name in
+  let per_domain = 100_000 in
+  let run tid rng =
+    for _ = 1 to per_domain do
+      op ~tid rng
+    done
+  in
+  let trial i =
+    let go = Atomic.make false in
+    let other =
+      Domain.spawn (fun () ->
+          let rng = Prims.Rng.create ~seed:((2 * i) + 3) in
+          while not (Atomic.get go) do
+            Domain.cpu_relax ()
+          done;
+          run 1 rng)
+    in
+    let rng = Prims.Rng.create ~seed:((2 * i) + 2) in
+    let t0 = Unix.gettimeofday () in
+    Atomic.set go true;
+    run 0 rng;
+    Domain.join other;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (2 * per_domain)
+  in
+  let best = ref infinity in
+  for i = 1 to 5 do
+    best := Float.min !best (trial i)
+  done;
+  ("dstruct/hashmap-op-2dom/" ^ scheme_name, !best)
 
 (* One protected dereference inside a long-lived bracket. *)
 let read_cost (module T : Smr.Tracker.S) =
@@ -881,6 +926,7 @@ let run_microbenches ?json ~parts () =
   let rows =
     (if List.mem `Table1 parts then
        (microbenches () |> List.map (fun (name, fn) -> (name, measure fn)))
+       @ [ hashmap_op_2dom_row "Hyaline-S" ]
        @ percentile_rows () @ shmalloc_rows ()
      else [])
     @ (if List.mem `Snapshots parts then snapshot_rows () else [])

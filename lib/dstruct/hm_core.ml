@@ -150,67 +150,58 @@ module Make (T : Tracker.S) = struct
     | _, Node c when c.key = key -> Some c.value
     | _ -> None
 
+  (* Insert ([update] false) and put ([update] true) share one loop.
+     The node is allocated only once [search] has found the key absent,
+     so an insert of a present key costs no pool allocation, no
+     tracker alloc hook and no discard; a node that lost its CAS was
+     never published and is kept for the retry ([fresh] is [Nil] until
+     then), so each insert allocates at most one node.  Put updates the
+     value in place when the key exists.  (A node-replacing variant —
+     mark the old node, swing the predecessor to a fresh one — was
+     tried and rejected: if the swing CAS fails after the mark, the
+     operation has already published a deletion and must re-insert,
+     making one put two observable mutations.  The linearizability
+     tests caught exactly that.  A single word write on the
+     still-protected node is atomic and linearizes at the write.)
+     Top-level recursion, so an operation allocates no closure. *)
+  let rec add_in core ~tid ~head ~update key value fresh =
+    match search core ~tid ~head key with
+    | _, Node c when c.key = key ->
+        if update then c.value <- value;
+        discard fresh;
+        false
+    | prev, curr ->
+        let fresh =
+          match fresh with Nil -> alloc core ~tid key value | n -> n
+        in
+        Atomic.set (next_cell fresh) curr;
+        if Atomic.compare_and_set prev curr fresh then true
+        else add_in core ~tid ~head ~update key value fresh
+
   let insert_in core ~tid ~head key value =
-    let fresh = alloc core ~tid key value in
-    let fresh_next = next_cell fresh in
-    let rec loop () =
-      match search core ~tid ~head key with
-      | _, Node c when c.key = key ->
-          discard fresh;
-          false
-      | prev, curr ->
-          Atomic.set fresh_next curr;
-          if Atomic.compare_and_set prev curr fresh then true else loop ()
-    in
-    loop ()
+    add_in core ~tid ~head ~update:false key value Nil
 
-  let remove_in core ~tid ~head key =
-    let rec loop () =
-      match search core ~tid ~head key with
-      | prev, (Node c as curr) when c.key = key -> (
-          match Atomic.get c.next with
-          | Mark _ -> loop () (* someone else is deleting c *)
-          | succ ->
-              if Atomic.compare_and_set c.next succ (Mark succ) then begin
-                (* Logical deletion done; try to unlink physically.  On
-                   failure a later traversal performs the unlink (and
-                   the retire) — exactly one unlinker exists because
-                   only one CAS can ever swing the unique predecessor
-                   past c. *)
-                if Atomic.compare_and_set prev curr succ then
-                  T.retire core.tracker ~tid c.hdr
-                else ignore (search core ~tid ~head key);
-                true
-              end
-              else loop ())
-      | _ -> false
-    in
-    loop ()
-
-  (* put updates the value in place when the key exists.  (A
-     node-replacing variant — mark the old node, swing the predecessor
-     to a fresh one — was tried and rejected: if the swing CAS fails
-     after the mark, the operation has already published a deletion
-     and must re-insert, making one put two observable mutations.  The
-     linearizability tests caught exactly that.  A single word write
-     on the still-protected node is atomic and linearizes at the
-     write.) *)
   let put_in core ~tid ~head key value =
-    let rec loop () =
-      match search core ~tid ~head key with
-      | _, Node c when c.key = key ->
-          c.value <- value;
-          false
-      | prev, curr ->
-          let fresh = alloc core ~tid key value in
-          Atomic.set (next_cell fresh) curr;
-          if Atomic.compare_and_set prev curr fresh then true
-          else begin
-            discard fresh;
-            loop ()
-          end
-    in
-    loop ()
+    add_in core ~tid ~head ~update:true key value Nil
+
+  let rec remove_in core ~tid ~head key =
+    match search core ~tid ~head key with
+    | prev, (Node c as curr) when c.key = key -> (
+        match Atomic.get c.next with
+        | Mark _ -> remove_in core ~tid ~head key (* someone else is deleting c *)
+        | succ ->
+            if Atomic.compare_and_set c.next succ (Mark succ) then begin
+              (* Logical deletion done; try to unlink physically.  On
+                 failure a later traversal performs the unlink (and the
+                 retire) — exactly one unlinker exists because only one
+                 CAS can ever swing the unique predecessor past c. *)
+              if Atomic.compare_and_set prev curr succ then
+                T.retire core.tracker ~tid c.hdr
+              else ignore (search core ~tid ~head key);
+              true
+            end
+            else remove_in core ~tid ~head key)
+    | _ -> false
 
   (* Live traversal for the snapshot path: the same hand-over-hand
      rotating-slot protection as [search] (prev/curr/next always

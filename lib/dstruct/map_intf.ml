@@ -73,7 +73,11 @@ module type S = sig
       [Mpool.Injected_oom] (see {!Mpool.Make.inject_failures}).  An
       affected operation fails {e before} mutating the structure —
       every implementation allocates ahead of its first published
-      write — so an injected failure is always a clean rejection. *)
+      write — so an injected failure is always a clean rejection.
+      Only operations that need a node consume armed failures: the
+      list-shaped structures (list, hashmap) allocate once their search
+      has found the key absent, so an insert that finds its key
+      returns [false] without touching the pool. *)
 
   val size : t -> int
   (** Number of bindings.  Quiescent use only. *)

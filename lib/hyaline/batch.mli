@@ -14,6 +14,9 @@ type t
 (** A builder, owned by one thread. *)
 
 val create : unit -> t
+(** An empty builder on its own padded block
+    ({!Prims.Xatomic.pad_record}): it is written on every retire, so
+    two threads' builders must not share a cache line. *)
 
 val add : t -> Smr.Hdr.t -> unit
 (** Append a retired node; tracks the batch's minimum birth era. *)

@@ -207,21 +207,20 @@ module Make (W : WORD) : Tracker_ext.S = struct
     if W.era cur < e then
       if not (W.cas_era w ~expected:cur e) then publish w (W.get w) e
 
-  let read t ~tid ~idx:_ a proj =
-    let w = t.rsrv.(tid) in
-    let rec loop () =
-      let v = Atomic.get a in
-      let alloc = Atomic.get t.era in
-      if W.era (W.get w) >= alloc then begin
-        if t.cfg.check_uaf then Hdr.check_not_freed "Crystalline.read" (proj v);
-        v
-      end
-      else begin
-        publish w (W.get w) alloc;
-        loop ()
-      end
-    in
-    loop ()
+  (* Top-level so a read allocates no closure. *)
+  let rec read_loop t w a proj =
+    let v = Atomic.get a in
+    let alloc = Atomic.get t.era in
+    if W.era (W.get w) >= alloc then begin
+      if t.cfg.check_uaf then Hdr.check_not_freed "Crystalline.read" (proj v);
+      v
+    end
+    else begin
+      publish w (W.get w) alloc;
+      read_loop t w a proj
+    end
+
+  let read t ~tid ~idx:_ a proj = read_loop t t.rsrv.(tid) a proj
 
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 

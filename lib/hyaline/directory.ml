@@ -1,6 +1,7 @@
 type 'a t = {
   kmin : int;
   log_kmin : int;
+  level0 : 'a array; (* = levels.(0), published at creation *)
   levels : 'a array option Atomic.t array;
   mk : unit -> 'a;
 }
@@ -11,8 +12,9 @@ let create ~kmin mk =
   if not (Smr.Config.is_pow2 kmin) then
     invalid_arg "Directory.create: kmin not a power of two";
   let levels = Array.init max_levels (fun _ -> Atomic.make None) in
-  Atomic.set levels.(0) (Some (Array.init kmin (fun _ -> mk ())));
-  { kmin; log_kmin = Adjs.log2 kmin; levels; mk }
+  let level0 = Array.init kmin (fun _ -> mk ()) in
+  Atomic.set levels.(0) (Some level0);
+  { kmin; log_kmin = Adjs.log2 kmin; level0; levels; mk }
 
 let kmin t = t.kmin
 
@@ -20,13 +22,6 @@ let kmin t = t.kmin
 let ilog2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
-
-let level_of t i =
-  if i < t.kmin then (0, i)
-  else
-    let l = ilog2 (i lsr t.log_kmin) + 1 in
-    let base = t.kmin lsl (l - 1) in
-    (l, i - base)
 
 let capacity t =
   let rec go l cap =
@@ -38,11 +33,16 @@ let capacity t =
   in
   go 0 0
 
+(* No tuple on the way: [get] runs on every enter, leave and protected
+   read, and the initial slots (the only ones unless the scheme grew)
+   need neither the level computation nor the atomic load. *)
 let get t i =
-  let l, off = level_of t i in
-  match Atomic.get t.levels.(l) with
-  | Some arr -> arr.(off)
-  | None -> invalid_arg "Directory.get: slot not yet published"
+  if i < t.kmin then t.level0.(i)
+  else
+    let l = ilog2 (i lsr t.log_kmin) + 1 in
+    match Atomic.get t.levels.(l) with
+    | Some arr -> arr.(i - (t.kmin lsl (l - 1)))
+    | None -> invalid_arg "Directory.get: slot not yet published"
 
 let ensure t ~k =
   let rec go l covered =

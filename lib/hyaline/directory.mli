@@ -23,7 +23,8 @@ val capacity : 'a t -> int
 (** Number of slots currently backed by published levels. *)
 
 val get : 'a t -> int -> 'a
-(** [get t i] returns slot [i].  Wait-free.
+(** [get t i] returns slot [i].  Wait-free and allocation-free; the
+    initial [kmin] slots skip the level computation.
     @raise Invalid_argument if [i] is not yet covered (callers must
     [ensure] growth before advertising a larger [k]). *)
 

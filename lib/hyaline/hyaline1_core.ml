@@ -182,30 +182,28 @@ module Make
       hdr.Hdr.birth <- Atomic.get t.era
     end
 
+  (* Fig. 5 deref; with a 1:1 thread-slot mapping touch is an
+     ordinary store (only the owner ever writes its access era).
+     Top-level so a read allocates no closure. *)
+  let rec read_loop t access a proj =
+    let v = Atomic.get a in
+    let alloc = Atomic.get t.era in
+    if Atomic.get access >= alloc then begin
+      if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline1s.read" (proj v);
+      v
+    end
+    else begin
+      Atomic.set access alloc;
+      read_loop t access a proj
+    end
+
   let read t ~tid ~idx:_ a proj =
     if not E.eras then begin
       let v = Atomic.get a in
       if t.cfg.check_uaf then Hdr.check_not_freed "Hyaline1.read" (proj v);
       v
     end
-    else
-      (* Fig. 5 deref; with a 1:1 thread-slot mapping touch is an
-         ordinary store (only the owner ever writes its access era). *)
-      let access = t.accesses.(tid) in
-      let rec loop () =
-        let v = Atomic.get a in
-        let alloc = Atomic.get t.era in
-        if Atomic.get access >= alloc then begin
-          if t.cfg.check_uaf then
-            Hdr.check_not_freed "Hyaline1s.read" (proj v);
-          v
-        end
-        else begin
-          Atomic.set access alloc;
-          loop ()
-        end
-      in
-      loop ()
+    else read_loop t t.accesses.(tid) a proj
 
   let transfer _ ~tid:_ ~from_idx:_ ~to_idx:_ = ()
 

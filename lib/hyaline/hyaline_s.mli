@@ -38,4 +38,4 @@ module Llsc : Tracker_ext.S
 module Packed : Tracker_ext.S
 (** Hyaline-S over the packed single-word head ({!Head.Packed}):
     wait-free fetch-and-add [enter] and an allocation-free uncontended
-    bracket. *)
+    bracket (gated by the [hyaline.packed-head] tests). *)

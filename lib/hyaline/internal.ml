@@ -2,7 +2,8 @@ open Smr
 
 type reap = { mutable batches : Hdr.t list }
 
-let new_reap () = { batches = [] }
+(* Padded: written whenever a bracket reaps a batch. *)
+let new_reap () = Prims.Xatomic.pad_record { batches = [] }
 
 let add_ref reap node v =
   let refn = node.Hdr.ref_node in

@@ -13,6 +13,7 @@ type reap
     so slow deallocation never extends list traversals. *)
 
 val new_reap : unit -> reap
+(** An empty accumulator, padded like {!Batch.create}. *)
 
 val add_ref : reap -> Smr.Hdr.t -> int -> unit
 (** [add_ref reap node v] adds [v] to the reference counter of

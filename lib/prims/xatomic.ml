@@ -18,16 +18,31 @@ let rec update a f =
 let wrapping_add a b = a + b
 
 (* 16 words = 128 bytes: a cache line plus the adjacent line that
-   spatial prefetchers pull in with it.  The block is the layout of an
-   ['a Atomic.t] (one field, tag 0) with the extra words as padding
-   behind it; every [Atomic] primitive touches field 0 only.  OCaml
-   5.2's [Atomic.make_contended] builds the same block. *)
+   spatial prefetchers pull in with it.  A padded block is the record's
+   own layout (tag 0, its fields first) with the extra words as padding
+   behind them; field accesses touch only the leading fields.  Only
+   plain records (tag 0) qualify: a float record's fields are unboxed
+   doubles, and any other tag has a meaning of its own. *)
 let padded_words = 16
 
-let make_padded (v : 'a) : 'a Atomic.t =
-  let b = Obj.new_block 0 padded_words in
-  Obj.set_field b 0 (Obj.repr v);
-  Obj.obj b
+let pad_record (r : 'a) : 'a =
+  let o = Obj.repr r in
+  if Obj.is_int o || Obj.tag o <> 0 then
+    invalid_arg "Xatomic.pad_record: not a plain record";
+  let n = Obj.size o in
+  if n >= padded_words then r
+  else begin
+    let b = Obj.new_block 0 padded_words in
+    for i = 0 to n - 1 do
+      Obj.set_field b i (Obj.field o i)
+    done;
+    Obj.obj b
+  end
+
+(* An ['a Atomic.t] is a one-field tag-0 block, and every [Atomic]
+   primitive touches field 0 only; OCaml 5.2's [Atomic.make_contended]
+   builds the same block. *)
+let make_padded (v : 'a) : 'a Atomic.t = pad_record (Atomic.make v)
 
 type striped = int Atomic.t array
 

@@ -28,6 +28,19 @@ val make_padded : 'a -> 'a Atomic.t
     counters written from several domains.  Costs 16 words instead of
     one. *)
 
+val pad_record : 'a -> 'a
+(** [pad_record r] is a copy of the freshly built record [r] on a
+    16-word block: its fields first, padding behind them, so per-thread
+    state written on every operation (a slot index, a handle, a batch
+    under construction) shares no cache line with another thread's.
+    Pass the record straight from its constructor and keep only the
+    copy.  Field reads and writes, including mutable ones, behave as on
+    [r]; structural comparison, hashing and marshalling see the padding,
+    so use it only on records that never meet them.  A record of 16
+    fields or more is returned as is.
+    @raise Invalid_argument if [r] is not a plain record (an immediate,
+    a float-only record, or a block with a non-zero tag). *)
+
 (** {2 Striped counters}
 
     A counter spread over {!stripes} padded atomics, so writers on

@@ -43,21 +43,22 @@ let alloc_hook t ~tid hdr =
   if c mod t.cfg.epoch_freq = 0 then Atomic.incr t.clock;
   hdr.Hdr.birth <- Atomic.get t.clock
 
+(* Top-level so a read allocates no closure. *)
+let rec read_loop clock slot a prev =
+  let e = Atomic.get clock in
+  if prev <> e then Atomic.set slot e;
+  let v = Atomic.get a in
+  if Atomic.get clock = e then
+    (* As in Hp.read: a frozen cell of an unlinked node may point at
+       a block whose lifetime ended before our era was published;
+       the caller's validating CAS rejects it before any
+       dereference, so no assertion here. *)
+    v
+  else read_loop clock slot a e
+
 let read t ~tid ~idx a _proj =
   let slot = t.eras.(tid).(idx) in
-  let rec loop prev =
-    let e = Atomic.get t.clock in
-    if prev <> e then Atomic.set slot e;
-    let v = Atomic.get a in
-    if Atomic.get t.clock = e then
-      (* As in Hp.read: a frozen cell of an unlinked node may point at
-         a block whose lifetime ended before our era was published;
-         the caller's validating CAS rejects it before any
-         dereference, so no assertion here. *)
-      v
-    else loop e
-  in
-  loop (Atomic.get slot)
+  read_loop t.clock slot a (Atomic.get slot)
 
 (* The protection is the published era value; copying it to another
    slot extends it past the source slot's reuse. *)

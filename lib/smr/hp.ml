@@ -36,31 +36,30 @@ let alloc_hook t ~tid (_ : Hdr.t) = Stats.on_alloc t.stats ~tid
    link; if it still designates the same value, no scan that started
    after our announcement can miss the protection, and any free
    decided before it must have been based on the link already having
-   moved on — in which case the re-read differs and we retry. *)
-let read t ~tid ~idx a proj =
-  let slot = t.hazards.(tid).(idx) in
-  let rec loop () =
-    let v = Atomic.get a in
-    let h = proj v in
-    if Hdr.is_nil h then begin
-      Atomic.set slot Hdr.nil;
+   moved on — in which case the re-read differs and we retry.
+   Top-level so a read allocates no closure. *)
+let rec read_loop slot a proj =
+  let v = Atomic.get a in
+  let h = proj v in
+  if Hdr.is_nil h then begin
+    Atomic.set slot Hdr.nil;
+    v
+  end
+  else begin
+    Atomic.set slot h;
+    let v' = Atomic.get a in
+    if v' == v then
+      (* No use-after-free assertion here, deliberately: reading the
+         frozen successor cell of an already-unlinked node may
+         legitimately yield an already-freed block, which the data
+         structure then discards when its validating CAS fails.  The
+         protection contract only covers blocks the caller goes on
+         to dereference after a successful validation. *)
       v
-    end
-    else begin
-      Atomic.set slot h;
-      let v' = Atomic.get a in
-      if v' == v then
-        (* No use-after-free assertion here, deliberately: reading the
-           frozen successor cell of an already-unlinked node may
-           legitimately yield an already-freed block, which the data
-           structure then discards when its validating CAS fails.  The
-           protection contract only covers blocks the caller goes on
-           to dereference after a successful validation. *)
-        v
-      else loop ()
-    end
-  in
-  loop ()
+    else read_loop slot a proj
+  end
+
+let read t ~tid ~idx a proj = read_loop t.hazards.(tid).(idx) a proj
 
 (* Keep a record node protected while the rolling read window moves
    past it: duplicate its hazard into a dedicated slot. *)

@@ -47,22 +47,20 @@ let alloc_hook t ~tid hdr =
 (* 2GE protected read: keep raising our published [upper] until the
    clock is quiescent across one pointer load, so any block reachable
    through the loaded value was born at or before our interval's upper
-   end. *)
-let read t ~tid ~idx:_ a proj =
-  let up = t.upper.(tid) in
-  let rec loop () =
-    let v = Atomic.get a in
-    let e = Atomic.get t.clock in
-    if Atomic.get up = e then begin
-      if t.cfg.check_uaf then Hdr.check_not_freed "Ibr.read" (proj v);
-      v
-    end
-    else begin
-      Atomic.set up e;
-      loop ()
-    end
-  in
-  loop ()
+   end.  Top-level so a read allocates no closure. *)
+let rec read_loop t up a proj =
+  let v = Atomic.get a in
+  let e = Atomic.get t.clock in
+  if Atomic.get up = e then begin
+    if t.cfg.check_uaf then Hdr.check_not_freed "Ibr.read" (proj v);
+    v
+  end
+  else begin
+    Atomic.set up e;
+    read_loop t up a proj
+  end
+
+let read t ~tid ~idx:_ a proj = read_loop t t.upper.(tid) a proj
 
 let conflicts t hdr =
   let birth = hdr.Hdr.birth and retired = hdr.Hdr.retire_era in

@@ -305,4 +305,83 @@ let aba_suite =
           schemes)
       structures )
 
-let suites = suites @ [ aba_suite ]
+(* --- the insert path ---------------------------------------------------- *)
+
+(* An insert allocates its node only once the search has found the key
+   absent, so inserting a present key touches neither the node pool nor
+   the tracker's alloc hook (Hyaline-S's era clock ticks there). *)
+let test_insert_present_no_alloc () =
+  let module C = Dstruct.Hm_core.Make (Hyaline_core.Hyaline_s) in
+  let core = C.make_core cfg_base in
+  let head = Atomic.make C.Nil in
+  let insert k =
+    Hyaline_core.Hyaline_s.enter core.C.tracker ~tid:0;
+    let r = C.insert_in core ~tid:0 ~head k k in
+    Hyaline_core.Hyaline_s.leave core.C.tracker ~tid:0;
+    r
+  in
+  List.iter (fun k -> Alcotest.(check bool) "fresh key" true (insert k)) [ 3; 5; 7 ];
+  let pool0 = C.Pool.stats core.C.pool in
+  let smr0 = Stats.snapshot (Hyaline_core.Hyaline_s.stats core.C.tracker) in
+  List.iter (fun k -> Alcotest.(check bool) "present key" false (insert k)) [ 3; 5; 7 ];
+  let pool1 = C.Pool.stats core.C.pool in
+  let smr1 = Stats.snapshot (Hyaline_core.Hyaline_s.stats core.C.tracker) in
+  Alcotest.(check int) "Mpool allocs unchanged" pool0.Mpool.allocs pool1.Mpool.allocs;
+  Alcotest.(check int) "Mpool frees unchanged" pool0.Mpool.frees pool1.Mpool.frees;
+  Alcotest.(check int) "Smr.Stats allocs unchanged" smr0.Stats.allocs smr1.Stats.allocs;
+  Alcotest.(check int) "size" 3 (C.size_in ~head)
+
+(* EBR whose alloc hook can run one injected action: the allocation of
+   an insert's node sits between its search and its CAS, so an action
+   there is a concurrent operation landing exactly in that window. *)
+module Hooked_ebr = struct
+  include Ebr
+
+  let on_alloc = ref ignore
+
+  let alloc_hook t ~tid h =
+    Ebr.alloc_hook t ~tid h;
+    let f = !on_alloc in
+    on_alloc := ignore;
+    f ()
+end
+
+let test_lost_cas_reuses_node ~put () =
+  let module C = Dstruct.Hm_core.Make (Hooked_ebr) in
+  let add = if put then C.put_in else C.insert_in in
+  let core = C.make_core cfg_base in
+  let head = Atomic.make C.Nil in
+  let fired = ref false in
+  (* tid 0 inserts 5 into the empty list: its search ends at (head,
+     Nil); while it allocates, tid 1 inserts 3 at the head, so tid 0's
+     CAS on the head loses and it must retry behind 3. *)
+  Hooked_ebr.on_alloc :=
+    (fun () ->
+      fired := true;
+      Hooked_ebr.enter core.C.tracker ~tid:1;
+      Alcotest.(check bool) "racing insert" true (C.insert_in core ~tid:1 ~head 3 3);
+      Hooked_ebr.leave core.C.tracker ~tid:1);
+  Hooked_ebr.enter core.C.tracker ~tid:0;
+  Alcotest.(check bool) "new binding after a lost CAS" true (add core ~tid:0 ~head 5 5);
+  Hooked_ebr.leave core.C.tracker ~tid:0;
+  Alcotest.(check bool) "race injected" true !fired;
+  Alcotest.(check (list (pair int int))) "both keys" [ (3, 3); (5, 5) ] (C.to_list_in ~head);
+  let pool = C.Pool.stats core.C.pool in
+  let smr = Stats.snapshot (Hooked_ebr.stats core.C.tracker) in
+  Alcotest.(check int) "one node per operation (Mpool)" 2 pool.Mpool.allocs;
+  Alcotest.(check int) "no discarded node" 0 pool.Mpool.frees;
+  Alcotest.(check int) "one node per operation (Smr.Stats)" 2 smr.Stats.allocs;
+  C.check_in ~head
+
+let insert_path_suite =
+  ( "dstruct.insert-path",
+    [
+      Alcotest.test_case "present key allocates nothing" `Quick
+        test_insert_present_no_alloc;
+      Alcotest.test_case "insert: lost CAS reuses its one node" `Quick
+        (test_lost_cas_reuses_node ~put:false);
+      Alcotest.test_case "put: lost CAS reuses its one node" `Quick
+        (test_lost_cas_reuses_node ~put:true);
+    ] )
+
+let suites = suites @ [ aba_suite; insert_path_suite ]

@@ -27,6 +27,29 @@ let test_backoff_invalid () =
 (* ------------------------------------------------------------------ *)
 (* Xatomic *)
 
+type padded_probe = { mutable a : int; mutable b : string; c : int list }
+
+let test_pad_record () =
+  let r = Xatomic.pad_record { a = 1; b = "x"; c = [ 2; 3 ] } in
+  Alcotest.(check bool) "block of at least 16 words" true
+    (Obj.size (Obj.repr r) >= 16);
+  Alcotest.(check int) "int field" 1 r.a;
+  Alcotest.(check string) "pointer field" "x" r.b;
+  Alcotest.(check (list int)) "immutable field" [ 2; 3 ] r.c;
+  r.a <- 42;
+  r.b <- String.make 3 'y';
+  (* Survive a collection: the padded block is scanned like any other. *)
+  Gc.full_major ();
+  Alcotest.(check int) "int write" 42 r.a;
+  Alcotest.(check string) "pointer write" "yyy" r.b;
+  Alcotest.(check (list int)) "untouched" [ 2; 3 ] r.c;
+  let two = Array.init 2 (fun i -> Xatomic.pad_record { a = i; b = ""; c = [] }) in
+  two.(0).a <- 7;
+  Alcotest.(check (pair int int)) "neighbours independent" (7, 1) (two.(0).a, two.(1).a);
+  Alcotest.check_raises "immediate rejected"
+    (Invalid_argument "Xatomic.pad_record: not a plain record") (fun () ->
+      ignore (Xatomic.pad_record 3))
+
 let test_cas_max_seq () =
   let a = Atomic.make 5 in
   Alcotest.(check int) "raise" 9 (Xatomic.cas_max a 9);
@@ -184,6 +207,8 @@ let suites =
     ( "prims.xatomic",
       [
         Alcotest.test_case "cas_max sequential" `Quick test_cas_max_seq;
+        Alcotest.test_case "pad_record keeps fields, pads the block" `Quick
+          test_pad_record;
         Alcotest.test_case "cas_max concurrent" `Quick test_cas_max_concurrent;
         Alcotest.test_case "incr_if_at_least" `Quick test_incr_if_at_least;
         Alcotest.test_case "update" `Quick test_update;

@@ -260,6 +260,41 @@ let test_stats_striped () =
   Alcotest.(check int) "nothing unreclaimed" 0 (Stats.unreclaimed s)
 
 (* ------------------------------------------------------------------ *)
+(* A protected read is the per-access cost every scheme charges; in
+   steady state (era or clock already published) it must allocate
+   nothing — no retry closure, no slot-lookup tuple.  10_000 reads under
+   10_000 words leaves slack for [Gc.minor_words]' own float box. *)
+
+let test_read_zero_alloc (module T : Tracker.S) () =
+  let t = T.create { Config.default with nthreads = 2; check_uaf = true } in
+  let pool = Pool.create () in
+  T.enter t ~tid:0;
+  let b = Pool.alloc pool in
+  T.alloc_hook t ~tid:0 b.Blk.hdr;
+  let link = Atomic.make b in
+  for _ = 1 to 100 do
+    ignore (T.read t ~tid:0 ~idx:0 link proj)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (T.read t ~tid:0 ~idx:0 link proj)
+  done;
+  let words = Gc.minor_words () -. before in
+  T.leave t ~tid:0;
+  if words >= 10_000. then
+    Alcotest.failf "%s read allocates %.2f words/call" T.name (words /. 10_000.)
+
+let read_alloc_suite =
+  ( "smr.read-zero-alloc",
+    List.map
+      (fun (s : Workload.Registry.scheme) ->
+        Alcotest.test_case
+          (s.Workload.Registry.s_name ^ " read allocation-free")
+          `Quick
+          (test_read_zero_alloc s.Workload.Registry.s_mod))
+      Workload.Registry.schemes )
+
+(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -309,4 +344,5 @@ let suites =
           (test_nonrobust_pins (module Ebr));
         Alcotest.test_case "UAF detector fires" `Quick test_uaf_detector_fires;
       ] );
+    read_alloc_suite;
   ]
